@@ -12,11 +12,24 @@ greedily by gain, subject to:
   then implemented with crossing switching elements, which additionally
   route the two "inner" node pairs (Fig. 7), provided that also pays a
   positive gain.
+
+Selection is best-first.  Every demanded pair enters a heap keyed by
+the upper bound ``min(len_cw, len_ccw) - manhattan + 1e-9`` on its
+gain: no rectilinear chord is shorter than the Manhattan distance, and
+the pad absorbs the summation-order rounding of L and staircase
+lengths.  A pair is scored (feasible realizations, else a maze chord)
+only when it reaches the top with both nodes still free, and then goes
+back in under its exact gain; an exactly scored pair on top outranks
+every bound below it, so pairs are selected in exactly the order of
+scoring all of them and sorting by ``(-gain, a, b)`` — ties break on
+the node indices in both.  ``selection="ring_length"`` puts
+``-best_ring`` in front of the same keys.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from repro.geometry import (
@@ -195,6 +208,14 @@ class _ChordMaze:
     more bends than an L or a staircase.  The maze router finds a
     near-shortest one; its real routed length (not the Manhattan
     distance) then feeds the gain function.
+
+    Grid vertex ``(ix, iy)`` has the flat id ``ix * ny + iy``, so id
+    order is the lexicographic ``(ix, iy)`` order the heap breaks ties
+    by.  An undirected grid edge has the integer key ``2 * id + o`` of
+    its lower vertex, with ``o = 0`` for an x-step and ``1`` for a
+    y-step; ``_mask`` holds one byte per key (1 = crosses the ring).
+    ``calls`` and ``expansions`` count routed chords and vertex
+    expansions — host-independent work counters for the metrics.
     """
 
     _PITCH = 0.2
@@ -214,41 +235,36 @@ class _ChordMaze:
         # bit-identical to constructing the Point.
         self._xc = [self.x0 + i * self._PITCH for i in range(self.nx)]
         self._yc = [self.y0 + j * self._PITCH for j in range(self.ny)]
-        self._blocked = self._block_ring_edges()
-        self._blocked_keys = {self._edge_key(e) for e in self._blocked}
+        self._mask = bytearray(2 * self.nx * self.ny)
+        for key in self.blocked_by_paths(tour.edge_paths):
+            self._mask[key] = 1
+        self._ix_of = [v // self.ny for v in range(self.nx * self.ny)]
+        self._iy_of = [v % self.ny for v in range(self.nx * self.ny)]
+        self.calls = 0
+        self.expansions = 0
 
-    def _vertex_point(self, v: tuple[int, int]) -> Point:
-        return Point(self._xc[v[0]], self._yc[v[1]])
-
-    def _edge_key(self, edge: frozenset[tuple[int, int]]) -> int:
-        """Integer id of an undirected grid edge (hashes cheaper than
-        the frozenset in the A* hot loop)."""
-        v, w = sorted(edge)
-        return (v[0] * self.ny + v[1]) * 2 + (0 if w[0] > v[0] else 1)
+    def _vertex_point(self, v: int) -> Point:
+        return Point(self._xc[self._ix_of[v]], self._yc[self._iy_of[v]])
 
     def _snap(self, p: Point) -> tuple[int, int]:
         ix = min(max(int(round((p.x - self.x0) / self._PITCH)), 0), self.nx - 1)
         iy = min(max(int(round((p.y - self.y0) / self._PITCH)), 0), self.ny - 1)
         return (ix, iy)
 
-    def _block_ring_edges(self) -> set[frozenset[tuple[int, int]]]:
-        """Grid edges that intersect any ring segment."""
-        return self.blocked_by_paths(self.tour.edge_paths)
-
-    def blocked_by_paths(self, paths) -> set[frozenset[tuple[int, int]]]:
-        """Grid edges intersecting any segment of the given paths.
+    def blocked_by_paths(self, paths) -> set[int]:
+        """Keys of the grid edges intersecting any segment of the paths.
 
         A grid edge is blocked on *any* non-disjoint interaction with a
         path segment — exactly the illegality predicate of the bulk
         geometry kernel with no ignored points, so the window of grid
         edges around each segment is classified in one vectorized call
-        instead of a Python loop per cell.
+        instead of a Python loop per cell.  The result is the union of
+        the per-path results, so obstacle sets can grow path by path.
         """
         import numpy as np
 
         from repro.geometry.conflicts_bulk import _segments_illegal
 
-        blocked: set[frozenset[tuple[int, int]]] = set()
         pitch = self._PITCH
         gx_parts: list[np.ndarray] = []
         gy_parts: list[np.ndarray] = []
@@ -279,7 +295,7 @@ class _ChordMaze:
                     dy_parts.append(np.full(gx.shape[0], dy, dtype=np.int64))
                     s2_parts.append(np.broadcast_to(s2, (gx.shape[0], 4)))
         if not gx_parts:
-            return blocked
+            return set()
         gx = np.concatenate(gx_parts)
         gy = np.concatenate(gy_parts)
         dxs = np.concatenate(dx_parts)
@@ -292,98 +308,124 @@ class _ChordMaze:
         s1[:, 2] = self.x0 + (gx + dxs) * pitch
         s1[:, 3] = self.y0 + (gy + dys) * pitch
         hit = _segments_illegal(s1, np.concatenate(s2_parts, axis=0), ())
-        for k in np.nonzero(hit)[0].tolist():
-            v = (int(gx[k]), int(gy[k]))
-            w = (v[0] + int(dxs[k]), v[1] + int(dys[k]))
-            blocked.add(frozenset((v, w)))
+        keys = (gx * self.ny + gy) * 2 + dys
+        return set(keys[hit].tolist())
+
+    def _open_mask(self, pa: Point, pb: Point, extra_blocked) -> bytearray:
+        """Blocked-edge mask for one chord: ring plus ``extra_blocked``
+        edges, minus every edge touching a vertex within 0.45 mm
+        (Manhattan) of ``pa`` or ``pb``, where the chord must be free to
+        leave or enter the node.  Only a small window around each
+        snapped terminal can qualify (0.45 mm is under three pitches).
+        """
+        xc, yc, nx, ny = self._xc, self._yc, self.nx, self.ny
+        blocked = bytearray(self._mask)
+        for key in extra_blocked or ():
+            blocked[key] = 1
+        for p in (pa, pb):
+            cx, cy = self._snap(p)
+            for ix in range(max(cx - 4, 0), min(cx + 5, nx)):
+                dx = abs(xc[ix] - p.x)
+                for iy in range(max(cy - 4, 0), min(cy + 5, ny)):
+                    if dx + abs(yc[iy] - p.y) <= 0.45:
+                        key = 2 * (ix * ny + iy)
+                        blocked[key] = blocked[key + 1] = 0
+                        if ix > 0:
+                            blocked[key - 2 * ny] = 0
+                        if iy > 0:
+                            blocked[key - 1] = 0
         return blocked
 
     def chord(
         self,
         pa: Point,
         pb: Point,
-        extra_blocked: set[frozenset[tuple[int, int]]] | None = None,
+        extra_blocked: set[int] | None = None,
     ) -> RectilinearPath | None:
         """A near-shortest crossing-free chord from ``pa`` to ``pb``.
 
         Grid edges within half a pitch of an endpoint are unblocked so
         the chord can leave/enter the node where it sits on the ring.
-        ``extra_blocked`` adds obstacles (e.g. already-selected
-        shortcuts the new chord must not cross).
+        ``extra_blocked`` adds obstacles as edge keys (e.g. from
+        :meth:`blocked_by_paths` over already-selected shortcuts the new
+        chord must not cross).
         """
-        import heapq
-
-        blocked_keys = (
-            self._blocked_keys
-            if not extra_blocked
-            else self._blocked_keys | {self._edge_key(e) for e in extra_blocked}
-        )
-        start, goal = self._snap(pa), self._snap(pb)
-        if start == goal:
+        (sx, sy), (gx, gy) = self._snap(pa), self._snap(pb)
+        if (sx, sy) == (gx, gy):
             return None
-
-        xc, yc, ny, pitch = self._xc, self._yc, self.ny, self._PITCH
-        near_memo: dict[tuple[int, int], bool] = {}
-
-        def near_terminal(v: tuple[int, int]) -> bool:
-            cached = near_memo.get(v)
-            if cached is None:
-                x, y = xc[v[0]], yc[v[1]]
-                cached = (
-                    abs(x - pa.x) + abs(y - pa.y) <= 0.45
-                    or abs(x - pb.x) + abs(y - pb.y) <= 0.45
-                )
-                near_memo[v] = cached
-            return cached
-
-        best = {start: 0.0}
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-        gpx, gpy = xc[goal[0]], yc[goal[1]]
-        heap = [(abs(xc[start[0]] - gpx) + abs(yc[start[1]] - gpy), start)]
+        self.calls += 1
+        nx, ny, pitch = self.nx, self.ny, self._PITCH
+        nv = nx * ny
+        blocked = self._open_mask(pa, pb, extra_blocked)
+        # Heuristic terms stay separate so ``cost + hx + hy`` rounds
+        # exactly like the per-coordinate expression it replaces.
+        gpx, gpy = self._xc[gx], self._yc[gy]
+        hx = [abs(x - gpx) for x in self._xc]
+        hy = [abs(y - gpy) for y in self._yc]
+        ix_of, iy_of = self._ix_of, self._iy_of
+        start, goal = sx * ny + sy, gx * ny + gy
         inf = float("inf")
+        best = [inf] * nv
+        best[start] = 0.0
+        # Cost each vertex was last expanded at.  Heap entries are not
+        # closed off, but popping a vertex whose cost has not dropped
+        # since its last expansion would relax nothing, so it is skipped.
+        expanded = [inf] * nv
+        parent = [-1] * nv
+        heap = [(hx[sx] + hy[sy], start)]
+        pop, push = heapq.heappop, heapq.heappush
+        expansions = 0
         found = False
         while heap:
-            _, v = heapq.heappop(heap)
+            v = pop(heap)[1]
             if v == goal:
                 found = True
                 break
-            vx, vy = v
-            base = (vx * ny + vy) * 2
-            # Neighbor edge keys follow the lower-vertex + orientation
-            # encoding of ``_edge_key``.
-            for w, key in (
-                ((vx + 1, vy), base),
-                ((vx - 1, vy), base - 2 * ny),
-                ((vx, vy + 1), base + 1),
-                ((vx, vy - 1), base - 1),
-            ):
-                if not (0 <= w[0] < self.nx and 0 <= w[1] < ny):
-                    continue
-                if key in blocked_keys and not (
-                    near_terminal(v) or near_terminal(w)
-                ):
-                    continue
-                cost = best[v] + pitch
-                if cost < best.get(w, inf):
+            here = best[v]
+            if expanded[v] == here:
+                continue
+            expanded[v] = here
+            expansions += 1
+            vx, vy = ix_of[v], iy_of[v]
+            cost = here + pitch
+            key = 2 * v
+            if vx + 1 < nx:
+                w = v + ny
+                if cost < best[w] and not blocked[key]:
                     best[w] = cost
                     parent[w] = v
-                    heapq.heappush(
-                        heap,
-                        (cost + abs(xc[w[0]] - gpx) + abs(yc[w[1]] - gpy), w),
-                    )
+                    push(heap, (cost + hx[vx + 1] + hy[vy], w))
+            if vx > 0:
+                w = v - ny
+                if cost < best[w] and not blocked[key - 2 * ny]:
+                    best[w] = cost
+                    parent[w] = v
+                    push(heap, (cost + hx[vx - 1] + hy[vy], w))
+            if vy + 1 < ny:
+                w = v + 1
+                if cost < best[w] and not blocked[key + 1]:
+                    best[w] = cost
+                    parent[w] = v
+                    push(heap, (cost + hx[vx] + hy[vy + 1], w))
+            if vy > 0:
+                w = v - 1
+                if cost < best[w] and not blocked[key - 1]:
+                    best[w] = cost
+                    parent[w] = v
+                    push(heap, (cost + hx[vx] + hy[vy - 1], w))
+        self.expansions += expansions
         if not found:
             return None
         vertices = [goal]
         v = goal
-        while v in parent:
+        while parent[v] >= 0:
             v = parent[v]
             vertices.append(v)
         vertices.reverse()
         points = [pa]
         first = self._vertex_point(vertices[0])
         points.append(Point(pa.x, first.y))
-        for v in vertices:
-            points.append(self._vertex_point(v))
+        points.extend(self._vertex_point(v) for v in vertices)
         last = self._vertex_point(vertices[-1])
         points.append(Point(pb.x, last.y))
         points.append(pb)
@@ -452,20 +494,47 @@ def select_shortcuts(
         return plan
 
     n = tour.size
+    points = tour.points
     demand_set = set(demands) if demands is not None else None
     maze: _ChordMaze | None = None
     ring_set = SegmentSet.from_paths(tour.edge_paths)
-    candidates: list[tuple[float, int, int, list[RectilinearPath]]] = []
-    gain_evaluations = 0
+    # Heap entries are (primary, -bound or -gain, a, b, realizations);
+    # ``primary`` is -best_ring under "ring_length" and 0 otherwise.
+    # ``realizations`` is None until the pair is evaluated, and then
+    # the bound is replaced by the exact gain.  No chord is shorter
+    # than the Manhattan distance, so ``bound`` never undercuts a gain
+    # and an evaluated entry on top outranks every pair still below
+    # (see the module docstring).
+    heap: list[tuple[float, float, int, int, list[RectilinearPath] | None]] = []
     for node_a in range(n):
         for node_b in range(node_a + 1, n):
             if demand_set is not None and not (
                 (node_a, node_b) in demand_set or (node_b, node_a) in demand_set
             ):
                 continue
-            realizations = _feasible_realizations(
-                tour, node_a, node_b, ring_set
+            best_ring = min(
+                tour.cw_distance(node_a, node_b), tour.ccw_distance(node_a, node_b)
             )
+            bound = best_ring - points[node_a].manhattan(points[node_b]) + 1e-9
+            if bound > 1e-9:
+                primary = -best_ring if selection == "ring_length" else 0.0
+                heap.append((primary, -bound, node_a, node_b, None))
+    heapq.heapify(heap)
+
+    pairs_evaluated = gain_evaluations = candidates = obstacle_rebuilds = 0
+    extra: set[int] = set()  # retry obstacles: edge keys of plan.shortcuts[:blocked]
+    blocked = 0
+    used_nodes: set[int] = set()
+    while heap:
+        if max_shortcuts is not None and len(plan.shortcuts) >= max_shortcuts:
+            break
+        primary, neg_gain, node_a, node_b, realizations = heapq.heappop(heap)
+        if node_a in used_nodes or node_b in used_nodes:
+            continue
+        pa, pb = points[node_a], points[node_b]
+        if realizations is None:
+            pairs_evaluated += 1
+            realizations = _feasible_realizations(tour, node_a, node_b, ring_set)
             if not realizations:
                 # No straight chord exists; a maze-routed one always
                 # does (the ring interior is connected) — try it when
@@ -474,61 +543,40 @@ def select_shortcuts(
                     tour.cw_distance(node_a, node_b),
                     tour.ccw_distance(node_a, node_b),
                 )
-                manhattan = tour.points[node_a].manhattan(tour.points[node_b])
-                if best_ring - manhattan < 0.25 * best_ring:
+                if best_ring - pa.manhattan(pb) < 0.25 * best_ring:
                     continue
                 if maze is None:
                     maze = _ChordMaze(tour)
-                chord = maze.chord(tour.points[node_a], tour.points[node_b])
+                chord = maze.chord(pa, pb)
                 if chord is None or not _chord_is_clean(
-                    tour, chord, tour.points[node_a], tour.points[node_b],
-                    ring_set,
+                    tour, chord, pa, pb, ring_set
                 ):
                     continue
                 realizations = [chord]
-            gain = _ring_gain(
-                tour, node_a, node_b, realizations[0].length
-            )
+            gain = _ring_gain(tour, node_a, node_b, realizations[0].length)
             gain_evaluations += 1
             if gain > 1e-9:
-                candidates.append((gain, node_a, node_b, realizations))
-    metrics = get_obs().metrics
-    metrics.counter("shortcuts.gain_evaluations").inc(gain_evaluations)
-    metrics.counter("shortcuts.candidates").inc(len(candidates))
-    if selection == "gain":
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    else:  # ring_length: longest-suffering pairs first
-        candidates.sort(
-            key=lambda item: (
-                -min(
-                    tour.cw_distance(item[1], item[2]),
-                    tour.ccw_distance(item[1], item[2]),
-                ),
-                -item[0],
-            )
-        )
-
-    used_nodes: set[int] = set()
-    for gain, node_a, node_b, realizations in candidates:
-        if max_shortcuts is not None and len(plan.shortcuts) >= max_shortcuts:
-            break
-        if node_a in used_nodes or node_b in used_nodes:
+                candidates += 1
+                heapq.heappush(heap, (primary, -gain, node_a, node_b, realizations))
             continue
+
+        gain = -neg_gain
         chosen = _choose_realization(plan, realizations)
         if chosen is None:
             # Every stored realization tangles with selected shortcuts;
             # try a fresh maze chord that treats them as obstacles.
             if maze is None:
                 maze = _ChordMaze(tour)
-            extra = maze.blocked_by_paths([s.path for s in plan.shortcuts])
-            retry = maze.chord(
-                tour.points[node_a], tour.points[node_b], extra_blocked=extra
-            )
+            if blocked < len(plan.shortcuts):
+                extra |= maze.blocked_by_paths(
+                    [s.path for s in plan.shortcuts[blocked:]]
+                )
+                blocked = len(plan.shortcuts)
+                obstacle_rebuilds += 1
+            retry = maze.chord(pa, pb, extra_blocked=extra)
             if retry is None or _ring_gain(tour, node_a, node_b, retry.length) <= 1e-9:
                 continue
-            if not _chord_is_clean(
-                tour, retry, tour.points[node_a], tour.points[node_b], ring_set
-            ):
+            if not _chord_is_clean(tour, retry, pa, pb, ring_set):
                 continue
             if any(paths_cross(retry, s.path) for s in plan.shortcuts):
                 continue
@@ -577,6 +625,13 @@ def select_shortcuts(
         used_nodes.update((node_a, node_b))
 
     _register_served_pairs(plan, tour, loss, demand_set)
+    metrics = get_obs().metrics
+    metrics.counter("shortcuts.pairs_evaluated").inc(pairs_evaluated)
+    metrics.counter("shortcuts.gain_evaluations").inc(gain_evaluations)
+    metrics.counter("shortcuts.candidates").inc(candidates)
+    metrics.counter("shortcuts.obstacle_rebuilds").inc(obstacle_rebuilds)
+    metrics.counter("shortcuts.maze.calls").inc(maze.calls if maze else 0)
+    metrics.counter("shortcuts.maze.expansions").inc(maze.expansions if maze else 0)
     metrics.counter("shortcuts.selected").inc(len(plan.shortcuts))
     metrics.counter("shortcuts.served_pairs").inc(len(plan.served))
     return plan

@@ -126,6 +126,8 @@ class TestChordMaze:
         # Length at least Manhattan, at most the better ring arc.
         manhattan = tour16.points[a].manhattan(tour16.points[b])
         assert chord.length >= manhattan - 1e-6
+        best_ring = min(tour16.cw_distance(a, b), tour16.ccw_distance(a, b))
+        assert chord.length <= best_ring + 1e-6
 
     def test_chord_respects_extra_obstacles(self, tour16):
         maze = _ChordMaze(tour16)
@@ -133,11 +135,44 @@ class TestChordMaze:
         free = maze.chord(tour16.points[a], tour16.points[b])
         assert free is not None
         blocked = maze.blocked_by_paths([free])
-        detour = maze.chord(
-            tour16.points[a], tour16.points[b], extra_blocked=blocked
-        )
-        if detour is not None:
-            assert detour.length >= free.length - 1e-6
+        pa, pb = tour16.points[a], tour16.points[b]
+        detour = maze.chord(pa, pb, extra_blocked=blocked)
+        assert detour is not None
+        assert detour.length >= free.length - 1e-6
+        # The detour may use a blocked grid edge only where the chord
+        # leaves or enters a terminal, as the router allows.
+        in_terminal_zone = [
+            any(maze._vertex_point(v).manhattan(p) <= 0.45 for p in (pa, pb))
+            for v in range(maze.nx * maze.ny)
+        ]
+        used = _grid_edges(maze, detour)
+        assert used
+        for key in used & blocked:
+            v = key // 2
+            w = v + (1 if key % 2 else maze.ny)
+            assert in_terminal_zone[v] or in_terminal_zone[w], key
+
+
+def _grid_edges(maze, path):
+    """Keys of the grid edges along the path's grid-aligned legs.
+
+    The short snap legs joining each terminal to its grid vertex are
+    off the grid and contribute no edges.
+    """
+    keys = set()
+    for seg in path.segments:
+        ends = [maze._snap(seg.a), maze._snap(seg.b)]
+        if not all(
+            maze._vertex_point(ix * maze.ny + iy).almost_equals(p)
+            for (ix, iy), p in zip(ends, (seg.a, seg.b))
+        ):
+            continue
+        (ax, ay), (bx, by) = sorted(ends)
+        if ax == bx:
+            keys.update((ax * maze.ny + iy) * 2 + 1 for iy in range(ay, by))
+        else:
+            keys.update((ix * maze.ny + ay) * 2 for ix in range(ax, bx))
+    return keys
 
 
 def _proper_crossings(p1, p2):

@@ -61,6 +61,32 @@ CANONICAL = {
 }
 
 
+#: Exact shortcut-stage work counters of the fixture runs.  They do not
+#: depend on the host, so a change that makes the stage do more work
+#: (more pairs scored, more maze expansions, re-blocking every retry)
+#: fails here even when the design stays the same.
+WORK_COUNTERS = {
+    "xring16_heuristic": {
+        "shortcuts.pairs_evaluated": 36,
+        "shortcuts.gain_evaluations": 32,
+        "shortcuts.candidates": 31,
+        "shortcuts.maze.calls": 38,
+        "shortcuts.maze.expansions": 9021,
+        "shortcuts.obstacle_rebuilds": 3,
+        "shortcuts.selected": 6,
+    },
+    "xring64_lazy": {
+        "shortcuts.pairs_evaluated": 913,
+        "shortcuts.gain_evaluations": 842,
+        "shortcuts.candidates": 840,
+        "shortcuts.maze.calls": 1601,
+        "shortcuts.maze.expansions": 1587651,
+        "shortcuts.obstacle_rebuilds": 20,
+        "shortcuts.selected": 26,
+    },
+}
+
+
 def _synthesize(placement, options):
     points, die = placement
     network = Network.from_positions(points, die=die)
@@ -104,7 +130,8 @@ def _diff(expected, actual, path="$") -> list[str]:
 
 @pytest.mark.parametrize("name", sorted(CANONICAL))
 def test_golden_design(name, update_golden):
-    current = _normalize(CANONICAL[name]().to_dict())
+    design = CANONICAL[name]()
+    current = _normalize(design.to_dict())
     fixture = GOLDEN_DIR / f"{name}.json"
 
     if update_golden:
@@ -130,3 +157,8 @@ def test_golden_design(name, update_golden):
         f"regenerate with --update-golden and review the diff:\n"
         + "\n".join(differences[:40])
     )
+
+    expected_work = WORK_COUNTERS.get(name)
+    if expected_work is not None:
+        counters = design.report.metrics["counters"]
+        assert {key: counters.get(key) for key in expected_work} == expected_work
