@@ -38,7 +38,6 @@ from repro.geometry import (
     SegmentSet,
     crossing_points,
     l_routes,
-    paths_cross,
 )
 from repro.core.ring import RingTour
 from repro.obs import get_obs
@@ -192,11 +191,9 @@ def _feasible_realizations(
     pb = tour.points[node_b]
     if ring_set is None:
         ring_set = SegmentSet.from_paths(tour.edge_paths)
-    feasible = []
-    for candidate in list(l_routes(pa, pb)) + _staircase_candidates(pa, pb):
-        if not ring_set.any_illegal(candidate, ignore=(pa, pb)):
-            feasible.append(candidate)
-    return feasible
+    candidates = list(l_routes(pa, pb)) + _staircase_candidates(pa, pb)
+    illegal = ring_set.illegal_paths(candidates, ignore=(pa, pb))
+    return [c for c, bad in zip(candidates, illegal) if not bad]
 
 
 class _ChordMaze:
@@ -213,8 +210,13 @@ class _ChordMaze:
     order is the lexicographic ``(ix, iy)`` order the heap breaks ties
     by.  An undirected grid edge has the integer key ``2 * id + o`` of
     its lower vertex, with ``o = 0`` for an x-step and ``1`` for a
-    y-step; ``_mask`` holds one byte per key (1 = crosses the ring).
-    ``calls`` and ``expansions`` count routed chords and vertex
+    y-step; ``_mask`` holds one byte per key (1 = crosses the ring) and
+    ``_obstacle_mask`` additionally blocks the edges of every path
+    handed to :meth:`add_obstacles` (``obstacle_paths`` of them).
+    Each mask keeps the connected-component labels of its open edges,
+    so a chord whose terminals lie in different components is refused
+    without a search.  ``calls``, ``unreachable`` and ``expansions``
+    count chord requests, requests refused by the labels and vertex
     expansions — host-independent work counters for the metrics.
     """
 
@@ -238,9 +240,14 @@ class _ChordMaze:
         self._mask = bytearray(2 * self.nx * self.ny)
         for key in self.blocked_by_paths(tour.edge_paths):
             self._mask[key] = 1
+        self._labels = self._components(self._mask)
+        self._obstacle_mask = bytearray(self._mask)
+        self._obstacle_labels: list[int] | None = self._labels
+        self.obstacle_paths = 0
         self._ix_of = [v // self.ny for v in range(self.nx * self.ny)]
         self._iy_of = [v % self.ny for v in range(self.nx * self.ny)]
         self.calls = 0
+        self.unreachable = 0
         self.expansions = 0
 
     def _vertex_point(self, v: int) -> Point:
@@ -250,6 +257,25 @@ class _ChordMaze:
         ix = min(max(int(round((p.x - self.x0) / self._PITCH)), 0), self.nx - 1)
         iy = min(max(int(round((p.y - self.y0) / self._PITCH)), 0), self.ny - 1)
         return (ix, iy)
+
+    def _components(self, mask: bytearray) -> list[int]:
+        """Connected-component label of every vertex over open edges."""
+        import numpy as np
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        nx, ny = self.nx, self.ny
+        open_edges = np.frombuffer(mask, dtype=np.uint8).reshape(nx, ny, 2) == 0
+        ids = np.arange(nx * ny).reshape(nx, ny)
+        x_open = open_edges[:-1, :, 0]
+        y_open = open_edges[:, :-1, 1]
+        rows = np.concatenate([ids[:-1, :][x_open], ids[:, :-1][y_open]])
+        cols = np.concatenate([ids[1:, :][x_open], ids[:, 1:][y_open]])
+        graph = coo_matrix(
+            (np.ones(rows.shape[0], dtype=np.int8), (rows, cols)),
+            shape=(nx * ny, nx * ny),
+        )
+        return connected_components(graph, directed=False)[1].tolist()
 
     def blocked_by_paths(self, paths) -> set[int]:
         """Keys of the grid edges intersecting any segment of the paths.
@@ -311,44 +337,83 @@ class _ChordMaze:
         keys = (gx * self.ny + gy) * 2 + dys
         return set(keys[hit].tolist())
 
-    def _open_mask(self, pa: Point, pb: Point, extra_blocked) -> bytearray:
-        """Blocked-edge mask for one chord: ring plus ``extra_blocked``
-        edges, minus every edge touching a vertex within 0.45 mm
-        (Manhattan) of ``pa`` or ``pb``, where the chord must be free to
-        leave or enter the node.  Only a small window around each
-        snapped terminal can qualify (0.45 mm is under three pitches).
+    def add_obstacles(self, paths) -> None:
+        """Block the grid edges of ``paths`` for ``avoid_obstacles`` chords."""
+        paths = list(paths)
+        for key in self.blocked_by_paths(paths):
+            self._obstacle_mask[key] = 1
+        self.obstacle_paths += len(paths)
+        self._obstacle_labels = None
+
+    def _terminal_zone(self, pa: Point, pb: Point) -> list[int]:
+        """Vertices within 0.45 mm (Manhattan) of ``pa`` or ``pb``, where
+        the chord must be free to leave or enter the node: every edge
+        touching one is open for the chord.  Only a small window around
+        each snapped terminal can qualify (0.45 mm is under three
+        pitches).
         """
         xc, yc, nx, ny = self._xc, self._yc, self.nx, self.ny
-        blocked = bytearray(self._mask)
-        for key in extra_blocked or ():
-            blocked[key] = 1
+        zone = []
         for p in (pa, pb):
             cx, cy = self._snap(p)
             for ix in range(max(cx - 4, 0), min(cx + 5, nx)):
                 dx = abs(xc[ix] - p.x)
                 for iy in range(max(cy - 4, 0), min(cy + 5, ny)):
                     if dx + abs(yc[iy] - p.y) <= 0.45:
-                        key = 2 * (ix * ny + iy)
-                        blocked[key] = blocked[key + 1] = 0
-                        if ix > 0:
-                            blocked[key - 2 * ny] = 0
-                        if iy > 0:
-                            blocked[key - 1] = 0
-        return blocked
+                        zone.append(ix * ny + iy)
+        return zone
+
+    def _connected(
+        self, labels: list[int], start: int, goal: int, zone: list[int]
+    ) -> bool:
+        """Whether ``goal`` is reachable from ``start`` once the zone's
+        edges are open.
+
+        The open graph of one chord is the mask's open edges plus every
+        edge touching a zone vertex, so its components are the labelled
+        ones merged across those edges — a union over a few dozen labels
+        answers exactly what a failed A* search would only after
+        flooding the whole component.
+        """
+        root: dict[int, int] = {}
+
+        def find(c: int) -> int:
+            while c in root:
+                c = root[c]
+            return c
+
+        nx, ny = self.nx, self.ny
+        ix_of, iy_of = self._ix_of, self._iy_of
+        for v in zone:
+            lv = find(labels[v])
+            vx, vy = ix_of[v], iy_of[v]
+            for w, ok in (
+                (v + ny, vx + 1 < nx),
+                (v - ny, vx > 0),
+                (v + 1, vy + 1 < ny),
+                (v - 1, vy > 0),
+            ):
+                if ok:
+                    lw = find(labels[w])
+                    if lw != lv:
+                        root[lw] = lv
+        return find(labels[start]) == find(labels[goal])
 
     def chord(
         self,
         pa: Point,
         pb: Point,
-        extra_blocked: set[int] | None = None,
+        *,
+        avoid_obstacles: bool = False,
     ) -> RectilinearPath | None:
         """A near-shortest crossing-free chord from ``pa`` to ``pb``.
 
-        Grid edges within half a pitch of an endpoint are unblocked so
-        the chord can leave/enter the node where it sits on the ring.
-        ``extra_blocked`` adds obstacles as edge keys (e.g. from
-        :meth:`blocked_by_paths` over already-selected shortcuts the new
-        chord must not cross).
+        Grid edges touching the terminal zones are unblocked so the
+        chord can leave/enter the node where it sits on the ring.
+        ``avoid_obstacles`` also treats the paths handed to
+        :meth:`add_obstacles` (already-selected shortcuts the new chord
+        must not cross) as obstacles.  ``None`` when the terminals snap
+        to one vertex or no chord exists.
         """
         (sx, sy), (gx, gy) = self._snap(pa), self._snap(pb)
         if (sx, sy) == (gx, gy):
@@ -356,14 +421,30 @@ class _ChordMaze:
         self.calls += 1
         nx, ny, pitch = self.nx, self.ny, self._PITCH
         nv = nx * ny
-        blocked = self._open_mask(pa, pb, extra_blocked)
+        start, goal = sx * ny + sy, gx * ny + gy
+        mask, labels = self._mask, self._labels
+        if avoid_obstacles:
+            if self._obstacle_labels is None:
+                self._obstacle_labels = self._components(self._obstacle_mask)
+            mask, labels = self._obstacle_mask, self._obstacle_labels
+        zone = self._terminal_zone(pa, pb)
+        if not self._connected(labels, start, goal, zone):
+            self.unreachable += 1
+            return None
+        blocked = bytearray(mask)
+        for v in zone:
+            key = 2 * v
+            blocked[key] = blocked[key + 1] = 0
+            if v >= ny:
+                blocked[key - 2 * ny] = 0
+            if v % ny:
+                blocked[key - 1] = 0
         # Heuristic terms stay separate so ``cost + hx + hy`` rounds
         # exactly like the per-coordinate expression it replaces.
         gpx, gpy = self._xc[gx], self._yc[gy]
         hx = [abs(x - gpx) for x in self._xc]
         hy = [abs(y - gpy) for y in self._yc]
         ix_of, iy_of = self._ix_of, self._iy_of
-        start, goal = sx * ny + sy, gx * ny + gy
         inf = float("inf")
         best = [inf] * nv
         best[start] = 0.0
@@ -522,8 +603,9 @@ def select_shortcuts(
     heapq.heapify(heap)
 
     pairs_evaluated = gain_evaluations = candidates = obstacle_rebuilds = 0
-    extra: set[int] = set()  # retry obstacles: edge keys of plan.shortcuts[:blocked]
-    blocked = 0
+    # The selected shortcuts' segments, owner-tagged by plan index; a
+    # shortcut's path never changes once selected, only its partner.
+    shortcut_set = SegmentSet()
     used_nodes: set[int] = set()
     while heap:
         if max_shortcuts is not None and len(plan.shortcuts) >= max_shortcuts:
@@ -561,24 +643,23 @@ def select_shortcuts(
             continue
 
         gain = -neg_gain
-        chosen = _choose_realization(plan, realizations)
+        chosen = _choose_realization(plan, shortcut_set, realizations)
         if chosen is None:
             # Every stored realization tangles with selected shortcuts;
             # try a fresh maze chord that treats them as obstacles.
             if maze is None:
                 maze = _ChordMaze(tour)
-            if blocked < len(plan.shortcuts):
-                extra |= maze.blocked_by_paths(
-                    [s.path for s in plan.shortcuts[blocked:]]
+            if maze.obstacle_paths < len(plan.shortcuts):
+                maze.add_obstacles(
+                    s.path for s in plan.shortcuts[maze.obstacle_paths :]
                 )
-                blocked = len(plan.shortcuts)
                 obstacle_rebuilds += 1
-            retry = maze.chord(pa, pb, extra_blocked=extra)
+            retry = maze.chord(pa, pb, avoid_obstacles=True)
             if retry is None or _ring_gain(tour, node_a, node_b, retry.length) <= 1e-9:
                 continue
             if not _chord_is_clean(tour, retry, pa, pb, ring_set):
                 continue
-            if any(paths_cross(retry, s.path) for s in plan.shortcuts):
+            if shortcut_set.any_illegal(retry):
                 continue
             gain = _ring_gain(tour, node_a, node_b, retry.length)
             chosen = (retry, None)
@@ -590,10 +671,10 @@ def select_shortcuts(
                 # Try a crossing-free realization instead, else skip.
                 clean = [
                     r
-                    for r in realizations
-                    if not any(
-                        paths_cross(r, other.path) for other in plan.shortcuts
+                    for r, bad in zip(
+                        realizations, shortcut_set.illegal_paths(realizations)
                     )
+                    if not bad
                 ]
                 if not clean:
                     continue
@@ -622,6 +703,7 @@ def select_shortcuts(
                 crossing_dist_mm=_distance_along(other.path, point),
             )
         plan.shortcuts.append(shortcut)
+        shortcut_set.add_path(path)
         used_nodes.update((node_a, node_b))
 
     _register_served_pairs(plan, tour, loss, demand_set)
@@ -631,6 +713,7 @@ def select_shortcuts(
     metrics.counter("shortcuts.candidates").inc(candidates)
     metrics.counter("shortcuts.obstacle_rebuilds").inc(obstacle_rebuilds)
     metrics.counter("shortcuts.maze.calls").inc(maze.calls if maze else 0)
+    metrics.counter("shortcuts.maze.unreachable").inc(maze.unreachable if maze else 0)
     metrics.counter("shortcuts.maze.expansions").inc(maze.expansions if maze else 0)
     metrics.counter("shortcuts.selected").inc(len(plan.shortcuts))
     metrics.counter("shortcuts.served_pairs").inc(len(plan.served))
@@ -686,21 +769,21 @@ def _crossing_is_worth_it(
 
 
 def _choose_realization(
-    plan: ShortcutPlan, realizations: list[RectilinearPath]
+    plan: ShortcutPlan,
+    shortcut_set: SegmentSet,
+    realizations: list[RectilinearPath],
 ) -> tuple[RectilinearPath, int | None] | None:
     """Pick a realization crossing at most one partner-free shortcut.
 
     Prefers a crossing-free realization; otherwise one crossing exactly
     one already-selected shortcut that has no partner yet.  Returns
     ``None`` when every realization violates the crossing budget.
+    ``shortcut_set`` holds ``plan.shortcuts``' paths owner-tagged by
+    index.
     """
     best: tuple[RectilinearPath, int | None] | None = None
     for candidate in realizations:
-        crossed = [
-            idx
-            for idx, other in enumerate(plan.shortcuts)
-            if paths_cross(candidate, other.path)
-        ]
+        crossed = shortcut_set.crossed(candidate)
         if not crossed:
             return candidate, None
         if len(crossed) == 1 and plan.shortcuts[crossed[0]].partner is None:

@@ -301,31 +301,46 @@ def conflicting_edge_pairs(
 class SegmentSet:
     """Batched axis-aligned segments for path-versus-set queries.
 
-    Stores every segment of a collection of paths as coordinate
-    arrays; :meth:`any_illegal` and :meth:`proper_crossings` then run
-    one vectorized comparison per query-path segment instead of a
-    Python loop over the whole set.  Replicates the scalar
-    ``classify_intersection`` arithmetic exactly, with the query
-    segment in the ``s1`` role (matching ``paths_cross(query, other)``).
+    Stores every segment of a collection of paths as coordinate rows,
+    each tagged with the index of the path it came from (its *owner*).
+    A query evaluates all of its segments against all stored rows in
+    one broadcast :func:`_segments_illegal` call, replicating the scalar
+    ``classify_intersection`` arithmetic exactly with the query segment
+    in the ``s1`` role (matching ``paths_cross(query, other)``).
+    :meth:`add_path` grows the set one owner at a time.
     """
 
-    __slots__ = ("rows", "size")
+    __slots__ = ("rows", "owners", "paths")
 
-    def __init__(self, segments: Iterable) -> None:
-        rows = [
-            (s.a.x, s.a.y, s.b.x, s.b.y) for s in segments
-        ]
-        self.rows = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-        self.size = len(rows)
+    def __init__(self) -> None:
+        self.rows = np.empty((0, 4), dtype=np.float64)
+        self.owners = np.empty(0, dtype=np.intp)
+        self.paths = 0
 
     @classmethod
     def from_paths(cls, paths: Iterable) -> "SegmentSet":
-        return cls(s for path in paths for s in path.segments)
+        sset = cls()
+        for path in paths:
+            sset.add_path(path)
+        return sset
 
-    def _ignore_arrays(
-        self, ignore: Sequence[Point]
-    ) -> tuple[tuple[bool, float, float], ...]:
-        return tuple((True, p.x, p.y) for p in ignore)
+    @property
+    def size(self) -> int:
+        return self.rows.shape[0]
+
+    def add_path(self, path) -> None:
+        """Store ``path``'s segments under the next owner index."""
+        rows = _path_rows(path)
+        self.rows = np.concatenate([self.rows, rows])
+        self.owners = np.concatenate(
+            [self.owners, np.full(rows.shape[0], self.paths, dtype=np.intp)]
+        )
+        self.paths += 1
+
+    def _illegal(self, query: np.ndarray, ignore: Sequence[Point]) -> np.ndarray:
+        """``(len(query), size)`` mask of illegal query-row/stored-row pairs."""
+        ign = tuple((True, p.x, p.y) for p in ignore)
+        return _segments_illegal(query[:, None, :], self.rows[None, :, :], ign)
 
     def any_illegal(self, path, ignore: Sequence[Point] = ()) -> bool:
         """True when ``path`` has an illegal interaction with the set.
@@ -335,13 +350,27 @@ class SegmentSet:
         """
         if not self.size:
             return False
-        ign = self._ignore_arrays(ignore)
-        for s in path.segments:
-            s1 = np.array([s.a.x, s.a.y, s.b.x, s.b.y], dtype=np.float64)
-            s1 = np.broadcast_to(s1, (self.size, 4))
-            if bool(np.any(_segments_illegal(s1, self.rows, ign))):
-                return True
-        return False
+        return bool(self._illegal(_path_rows(path), ignore).any())
+
+    def illegal_paths(self, paths: Sequence, ignore: Sequence[Point] = ()) -> list[bool]:
+        """:meth:`any_illegal` of each query path, in one kernel call."""
+        if not self.size or not paths:
+            return [False] * len(paths)
+        rows = [_path_rows(path) for path in paths]
+        hit = self._illegal(np.concatenate(rows), ignore).any(axis=1)
+        starts = np.cumsum([0] + [r.shape[0] for r in rows[:-1]])
+        return np.logical_or.reduceat(hit, starts).tolist()
+
+    def crossed(self, path, ignore: Sequence[Point] = ()) -> list[int]:
+        """Owners with an illegal interaction with ``path``, ascending.
+
+        Equivalent to ``[i for i, other in enumerate(stored_paths) if
+        paths_cross(path, other, ignore)]``.
+        """
+        if not self.size:
+            return []
+        hit = self._illegal(_path_rows(path), ignore).any(axis=0)
+        return np.unique(self.owners[hit]).tolist()
 
     def proper_crossings(
         self, path, ignore: Sequence[Point] = ()
@@ -350,62 +379,35 @@ class SegmentSet:
 
         Touches and overlaps are excluded, as in ``crossing_points``;
         duplicates are *not* merged (callers here only test point
-        properties, not counts).
+        properties, not counts).  Points come query segment first, then
+        stored row.  A proper crossing is an illegal perpendicular pair
+        whose meeting point is no endpoint of either segment.
         """
         if not self.size:
             return []
-        p2x, p2y = self.rows[:, 0], self.rows[:, 1]
-        q2x, q2y = self.rows[:, 2], self.rows[:, 3]
-        h2 = np.abs(p2y - q2y) <= EPS
-        points: list[Point] = []
-        for s in path.segments:
-            h1 = abs(s.a.y - s.b.y) <= EPS
-            perp = h2 != h1
-            if not bool(np.any(perp)):
-                continue
-            if h1:
-                hx_lo, hx_hi = min(s.a.x, s.b.x), max(s.a.x, s.b.x)
-                hy = np.full(self.size, s.a.y)
-                hax, hay, hbx, hby = (
-                    np.full(self.size, v)
-                    for v in (s.a.x, s.a.y, s.b.x, s.b.y)
+        query = _path_rows(path)
+        h1 = np.abs(query[:, 1] - query[:, 3]) <= EPS
+        h2 = np.abs(self.rows[:, 1] - self.rows[:, 3]) <= EPS
+        candidate = self._illegal(query, ignore) & (h1[:, None] != h2[None, :])
+        qi, ri = np.nonzero(candidate)
+        if not qi.size:
+            return []
+        s1, s2, h = query[qi], self.rows[ri], h1[qi]
+        # The meeting point: the vertical segment's x, the horizontal's y.
+        vx = np.where(h, s2[:, 0], s1[:, 0])
+        hy = np.where(h, s1[:, 1], s2[:, 1])
+        at_end = np.zeros(qi.shape, dtype=bool)
+        for seg in (s1, s2):
+            for k in (0, 2):
+                at_end |= (np.abs(vx - seg[:, k]) <= EPS) & (
+                    np.abs(hy - seg[:, k + 1]) <= EPS
                 )
-                vx = p2x
-                vy_lo = np.minimum(p2y, q2y)
-                vy_hi = np.maximum(p2y, q2y)
-                vax, vay, vbx, vby = p2x, p2y, q2x, q2y
-            else:
-                hx_lo = np.minimum(p2x, q2x)
-                hx_hi = np.maximum(p2x, q2x)
-                hy = p2y
-                hax, hay, hbx, hby = p2x, p2y, q2x, q2y
-                vx = np.full(self.size, s.a.x)
-                vy_lo = min(s.a.y, s.b.y)
-                vy_hi = max(s.a.y, s.b.y)
-                vax, vay, vbx, vby = (
-                    np.full(self.size, v)
-                    for v in (s.a.x, s.a.y, s.b.x, s.b.y)
-                )
-            in_range = (
-                (hx_lo - EPS <= vx)
-                & (vx <= hx_hi + EPS)
-                & (vy_lo - EPS <= hy)
-                & (hy <= vy_hi + EPS)
-            )
-            at_end = (
-                ((np.abs(vx - hax) <= EPS) & (np.abs(hy - hay) <= EPS))
-                | ((np.abs(vx - hbx) <= EPS) & (np.abs(hy - hby) <= EPS))
-                | ((np.abs(vx - vax) <= EPS) & (np.abs(hy - vay) <= EPS))
-                | ((np.abs(vx - vbx) <= EPS) & (np.abs(hy - vby) <= EPS))
-            )
-            cross = perp & in_range & ~at_end
-            if ignore:
-                ignored = np.zeros(self.size, dtype=bool)
-                for p in ignore:
-                    ignored |= (np.abs(vx - p.x) <= EPS) & (
-                        np.abs(hy - p.y) <= EPS
-                    )
-                cross &= ~ignored
-            for k in np.nonzero(cross)[0].tolist():
-                points.append(Point(float(vx[k]), float(hy[k])))
-        return points
+        keep = ~at_end
+        return [Point(x, y) for x, y in zip(vx[keep].tolist(), hy[keep].tolist())]
+
+
+def _path_rows(path) -> np.ndarray:
+    """``(segments, 4)`` coordinate rows of a path."""
+    return np.array(
+        [(s.a.x, s.a.y, s.b.x, s.b.y) for s in path.segments], dtype=np.float64
+    ).reshape(-1, 4)

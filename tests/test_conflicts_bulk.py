@@ -10,14 +10,16 @@ pair silently changes synthesis results.  This module pins:
   adversarial collinear / shared-row / shared-column layouts;
 - ``conflicting_edge_pairs`` (the lazy loop's incumbent check) agrees
   with ``edges_conflict`` on explicit edge subsets;
-- ``SegmentSet.any_illegal`` / ``SegmentSet.proper_crossings`` agree
-  with ``paths_cross`` / ``crossing_points``;
+- ``SegmentSet.any_illegal`` / ``illegal_paths`` / ``crossed`` /
+  ``proper_crossings`` agree with ``paths_cross`` / ``crossing_points``,
+  on L-routes and on many-segment walks with EPS-jittered and shared
+  terminal coordinates;
 - the dispatcher (``build_edge_conflicts``) honors ``method=`` and its
   size threshold;
 - both implementations reject duplicate coordinates the same way.
 
 Seeds are fixed so failures reproduce; REPRO_BULK_CASES scales the
-random sweep (default 200).
+random sweep (default 200) and the walk battery (half as many).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import pytest
 
 from repro.geometry import (
     BULK_THRESHOLD,
+    EPS,
     Point,
     RectilinearPath,
     SegmentSet,
@@ -199,7 +202,120 @@ class TestSegmentSet:
         sset = SegmentSet.from_paths([])
         query = RectilinearPath([Point(0, 0), Point(1, 0)])
         assert not sset.any_illegal(query)
+        assert sset.illegal_paths([query, query]) == [False, False]
+        assert sset.crossed(query) == []
         assert sset.proper_crossings(query) == []
+
+
+#: Lattice pitch of the walks: the chord maze's routing pitch.
+_PITCH = 0.2
+#: Whole-walk offsets: exact, inside, on and just past the EPS boundary.
+_SHIFTS = (0.0, 0.0, 0.0, 0.5 * EPS, EPS, -EPS, 1.5 * EPS, -2.0 * EPS)
+
+
+def _random_walk(
+    rng: random.Random, start: Point | None = None, end: Point | None = None
+) -> RectilinearPath:
+    """A 5-30 segment rectilinear walk on the maze lattice.
+
+    Vertices get per-vertex jitter under EPS/2 (so every leg stays
+    axis-aligned) and the whole walk one shift from ``_SHIFTS``; a
+    given ``start``/``end`` is joined on exactly, so walks share
+    terminals.  Draws whose connector legs collapse within EPS into a
+    non-axis-aligned leg, or drop the shared terminal, are redrawn.
+    """
+    while True:
+        x, y = rng.randint(0, 12), rng.randint(0, 12)
+        horizontal = rng.random() < 0.5
+        lattice = [(x, y)]
+        for _ in range(rng.randint(5, 30)):
+            step = rng.choice((-3, -2, -1, 1, 2, 3))
+            if horizontal:
+                x = min(max(x + step, 0), 12)
+            else:
+                y = min(max(y + step, 0), 12)
+            if (x, y) != lattice[-1]:
+                lattice.append((x, y))
+            # Mostly alternate; sometimes run on (or double back) on one axis.
+            horizontal = horizontal != (rng.random() < 0.8)
+        if len(lattice) < 2:
+            continue
+        dx, dy = rng.choice(_SHIFTS), rng.choice(_SHIFTS)
+        points = [
+            Point(
+                i * _PITCH + dx + rng.choice((0.0, 0.0, 0.4 * EPS, -0.4 * EPS)),
+                j * _PITCH + dy + rng.choice((0.0, 0.0, 0.4 * EPS, -0.4 * EPS)),
+            )
+            for i, j in lattice
+        ]
+        # Join shared terminals on with an axis-aligned connector leg.
+        if start is not None:
+            points = [start, Point(start.x, points[0].y)] + points
+        if end is not None:
+            points = points + [Point(end.x, points[-1].y), end]
+        try:
+            path = RectilinearPath(points)
+        except ValueError:
+            continue
+        if path.start == points[0] and path.end == points[-1]:
+            return path
+
+
+class TestSegmentSetWalks:
+    """Many-segment queries: the shapes maze chords and walls take."""
+
+    @pytest.mark.parametrize("case", range(max(1, N_CASES // 2)))
+    def test_walks_match_scalar_predicates(self, case):
+        rng = random.Random(SEED * 3 + case)
+        query = _random_walk(rng)
+        ignore = (query.start, query.end)
+        stored = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.25:
+                stored.append(_random_walk(rng, start=query.start))
+            elif kind < 0.4:
+                stored.append(_random_walk(rng, end=query.end))
+            else:
+                stored.append(_random_walk(rng))
+        sset = SegmentSet()
+        for path in stored:
+            sset.add_path(path)
+        assert sset.paths == len(stored)
+
+        for ign in ((), ignore):
+            want = [i for i, p in enumerate(stored) if paths_cross(query, p, ign)]
+            assert sset.crossed(query, ign) == want
+            assert sset.any_illegal(query, ign) == bool(want)
+        others = [_random_walk(rng) for _ in range(3)]
+        assert sset.illegal_paths([query] + others, ignore) == [
+            any(paths_cross(q, p, ignore) for p in stored) for q in [query] + others
+        ]
+        got = sset.proper_crossings(query, ignore=ignore)
+        want_points = [
+            p for other in stored for p in crossing_points(query, other, ignore=ignore)
+        ]
+        # ``crossing_points`` keeps the first of crossings within EPS of
+        # each other; the set keeps them all, so equal as sets up to
+        # that merge: every scalar point exactly, nothing else.
+        assert {(p.x, p.y) for p in want_points} <= {(p.x, p.y) for p in got}
+        for p in got:
+            assert any(p.almost_equals(q) for q in want_points), p
+
+    def test_walks_reach_the_regimes_the_battery_exists_for(self):
+        rng = random.Random(SEED)
+        ignore_decides = crossings = long_walks = 0
+        for _ in range(60):
+            query = _random_walk(rng)
+            shared = _random_walk(rng, start=query.start)
+            assert shared.start == query.start
+            ignore = (query.start, query.end)
+            ignore_decides += paths_cross(query, shared) and not paths_cross(
+                query, shared, ignore
+            )
+            crossings += bool(crossing_points(query, _random_walk(rng)))
+            long_walks += len(query.segments) >= 20
+        assert ignore_decides and crossings and long_walks
 
 
 class TestDispatcher:

@@ -136,9 +136,13 @@ class TestChordMaze:
         assert free is not None
         blocked = maze.blocked_by_paths([free])
         pa, pb = tour16.points[a], tour16.points[b]
-        detour = maze.chord(pa, pb, extra_blocked=blocked)
+        maze.add_obstacles([free])
+        assert maze.obstacle_paths == 1
+        detour = maze.chord(pa, pb, avoid_obstacles=True)
         assert detour is not None
         assert detour.length >= free.length - 1e-6
+        # Chords that do not ask to avoid obstacles ignore them.
+        assert maze.chord(pa, pb).points == free.points
         # The detour may use a blocked grid edge only where the chord
         # leaves or enters a terminal, as the router allows.
         in_terminal_zone = [
@@ -151,6 +155,24 @@ class TestChordMaze:
             v = key // 2
             w = v + (1 if key % 2 else maze.ny)
             assert in_terminal_zone[v] or in_terminal_zone[w], key
+
+    def test_unreachable_chord_refused_without_search(self, tour16):
+        maze = _ChordMaze(tour16)
+        points = tour16.points
+        plan = select_shortcuts(tour16, loss=ORING_LOSSES)
+        # The selected shortcuts wall off parts of the ring interior.
+        maze.add_obstacles([s.path for s in plan.shortcuts])
+        refused = []
+        for a in range(tour16.size):
+            for b in range(a + 1, tour16.size):
+                calls, expansions = maze.calls, maze.expansions
+                if maze.chord(points[a], points[b], avoid_obstacles=True) is None:
+                    # Counted as a request, answered by the labels alone.
+                    assert maze.calls == calls + 1
+                    assert maze.expansions == expansions
+                    refused.append((a, b))
+        assert refused
+        assert maze.unreachable == len(refused)
 
 
 def _grid_edges(maze, path):

@@ -1,26 +1,36 @@
 """Differential batteries pinning the shortcut stage to its slow oracles.
 
 :func:`~repro.core.shortcuts.select_shortcuts` picks chords best-first
-off a bound-keyed heap and routes maze chords with a flat-array A*.
-This module keeps the code both replaced, as test-only oracles:
+off a bound-keyed heap, checks geometry with one vectorized
+:class:`~repro.geometry.SegmentSet` call per query, and routes maze
+chords with a flat-array A* that refuses a chord without searching
+when component labels show its terminals apart.  This module keeps the
+code all of that replaced, as test-only oracles:
 
 - :func:`eager_select_shortcuts` scores every demanded pair, sorts the
   candidates by ``(-gain, a, b)`` (or ``(-best_ring, -gain)``, stable),
   and then walks the whole list, re-blocking every selected shortcut on
-  each retry.  It routes with the production A*, which the second
-  oracle pins on its own;
+  each retry.  Its geometry runs on the scalar predicates
+  (:func:`oracle_feasible_realizations`, :func:`oracle_chord_is_clean`,
+  :func:`oracle_choose_realization`), so it shares no segment-set code
+  with what it checks.  Its retry chords come from :func:`dict_chord`;
+  its obstacle-free chords from the production A*, which the maze
+  batteries below pin on their own;
 - :func:`dict_chord` is the dict/tuple-keyed A* with a memoized
-  terminal test and a set of blocked edge keys.
+  terminal test and a set of blocked edge keys.  It searches until the
+  heap runs dry, so it returns ``None`` exactly when the goal is
+  unreachable.
 
 Plans must agree exactly (``shortcuts`` and ``served``) across tours,
-loss models, selection policies, demand subsets and shortcut caps, and
-chords must agree point for point.  On the 64-node tour only sparse
-demand subsets run here (the eager scan of all 2,016 pairs is slow);
-the all-to-all 64-node plan is pinned by the ``xring64_lazy`` golden
-fixture, which the eager loop generated.
+loss models, selection policies, demand subsets and shortcut caps;
+chords must agree point for point; and the maze must refuse a chord
+from its labels exactly when :func:`dict_chord` finds none.  On the
+64-node tour only sparse demand subsets run the eager oracle (its scan
+of all 2,016 pairs is slow); the all-to-all 64-node plan is pinned by
+the ``xring64_lazy`` golden fixture, which the eager loop generated.
 
 Seeds are fixed so failures reproduce; REPRO_SHORTCUT_CASES scales the
-random-demand sweep and the 64-node chord sample (default 8).
+random-demand sweep and the 32/64-node chord samples (default 8).
 """
 
 from __future__ import annotations
@@ -36,17 +46,15 @@ from repro.core.shortcuts import (
     Shortcut,
     ShortcutPlan,
     _ChordMaze,
-    _choose_realization,
-    _chord_is_clean,
     _crossing_is_worth_it,
     _distance_along,
-    _feasible_realizations,
     _register_served_pairs,
     _ring_gain,
     _simplify,
+    _staircase_candidates,
     select_shortcuts,
 )
-from repro.geometry import Point, SegmentSet, crossing_points, paths_cross
+from repro.geometry import Point, crossing_points, l_routes, paths_cross
 from repro.network.placement import (
     extended_placement,
     oring_placement,
@@ -59,6 +67,45 @@ N_CASES = int(os.environ.get("REPRO_SHORTCUT_CASES", "8"))
 
 
 # -- oracles ------------------------------------------------------------------
+def oracle_feasible_realizations(tour, node_a, node_b):
+    """L and staircase chords crossing no ring waveguide, one at a time."""
+    pa, pb = tour.points[node_a], tour.points[node_b]
+    feasible = []
+    for candidate in list(l_routes(pa, pb)) + _staircase_candidates(pa, pb):
+        if not any(
+            paths_cross(candidate, edge, ignore=(pa, pb)) for edge in tour.edge_paths
+        ):
+            feasible.append(candidate)
+    return feasible
+
+
+def oracle_chord_is_clean(tour, chord, pa, pb):
+    """No proper ring crossing farther than 0.5 mm from both terminals."""
+    for edge in tour.edge_paths:
+        for point in crossing_points(chord, edge, ignore=(pa, pb)):
+            if point.manhattan(pa) > 0.5 and point.manhattan(pb) > 0.5:
+                return False
+    return True
+
+
+def oracle_choose_realization(plan, realizations):
+    """The ``paths_cross`` scan over every selected shortcut."""
+    best = None
+    for candidate in realizations:
+        crossed = [
+            idx
+            for idx, other in enumerate(plan.shortcuts)
+            if paths_cross(candidate, other.path)
+        ]
+        if not crossed:
+            return candidate, None
+        if len(crossed) == 1 and plan.shortcuts[crossed[0]].partner is None:
+            proper = crossing_points(candidate, plan.shortcuts[crossed[0]].path)
+            if proper and best is None:
+                best = (candidate, crossed[0])
+    return best
+
+
 def eager_select_shortcuts(
     tour, *, max_shortcuts=None, loss=None, selection="gain", demands=None
 ) -> ShortcutPlan:
@@ -67,7 +114,6 @@ def eager_select_shortcuts(
     n = tour.size
     demand_set = set(demands) if demands is not None else None
     maze = None
-    ring_set = SegmentSet.from_paths(tour.edge_paths)
     candidates = []
     for node_a in range(n):
         for node_b in range(node_a + 1, n):
@@ -75,7 +121,7 @@ def eager_select_shortcuts(
                 (node_a, node_b) in demand_set or (node_b, node_a) in demand_set
             ):
                 continue
-            realizations = _feasible_realizations(tour, node_a, node_b, ring_set)
+            realizations = oracle_feasible_realizations(tour, node_a, node_b)
             if not realizations:
                 best_ring = min(
                     tour.cw_distance(node_a, node_b),
@@ -87,8 +133,8 @@ def eager_select_shortcuts(
                 if maze is None:
                     maze = _ChordMaze(tour)
                 chord = maze.chord(tour.points[node_a], tour.points[node_b])
-                if chord is None or not _chord_is_clean(
-                    tour, chord, tour.points[node_a], tour.points[node_b], ring_set
+                if chord is None or not oracle_chord_is_clean(
+                    tour, chord, tour.points[node_a], tour.points[node_b]
                 ):
                     continue
                 realizations = [chord]
@@ -114,18 +160,18 @@ def eager_select_shortcuts(
             break
         if node_a in used_nodes or node_b in used_nodes:
             continue
-        chosen = _choose_realization(plan, realizations)
+        chosen = oracle_choose_realization(plan, realizations)
         if chosen is None:
             if maze is None:
                 maze = _ChordMaze(tour)
             extra = maze.blocked_by_paths([s.path for s in plan.shortcuts])
-            retry = maze.chord(
-                tour.points[node_a], tour.points[node_b], extra_blocked=extra
+            retry = dict_chord(
+                maze, tour.points[node_a], tour.points[node_b], extra_blocked=extra
             )
             if retry is None or _ring_gain(tour, node_a, node_b, retry.length) <= 1e-9:
                 continue
-            if not _chord_is_clean(
-                tour, retry, tour.points[node_a], tour.points[node_b], ring_set
+            if not oracle_chord_is_clean(
+                tour, retry, tour.points[node_a], tour.points[node_b]
             ):
                 continue
             if any(paths_cross(retry, s.path) for s in plan.shortcuts):
@@ -312,10 +358,16 @@ def test_best_first_matches_eager_random_demands(case):
 
 
 # -- maze: flat-array A* vs dict A* ----------------------------------------------
-def _assert_same_chords(maze, pairs, extra=None):
+def _assert_same_chords(maze, pairs, obstacles=None):
+    """Production chords equal dict-A* chords, with or without obstacles.
+
+    ``obstacles`` are paths already handed to ``maze.add_obstacles``;
+    the oracle gets their edge keys straight from ``blocked_by_paths``.
+    """
     points = maze.tour.points
+    extra = maze.blocked_by_paths(obstacles) if obstacles is not None else None
     for a, b in pairs:
-        fast = maze.chord(points[a], points[b], extra_blocked=extra)
+        fast = maze.chord(points[a], points[b], avoid_obstacles=obstacles is not None)
         slow = dict_chord(maze, points[a], points[b], extra_blocked=extra)
         if slow is None:
             assert fast is None, (a, b)
@@ -329,8 +381,11 @@ def test_flat_chord_matches_dict_chord_every_pair_tour16(tour16):
     _assert_same_chords(maze, pairs)
     plan = select_shortcuts(tour16, loss=ORING_LOSSES)
     assert plan.shortcuts
-    extra = maze.blocked_by_paths([s.path for s in plan.shortcuts])
-    _assert_same_chords(maze, pairs, extra)
+    obstacles = [s.path for s in plan.shortcuts]
+    maze.add_obstacles(obstacles)
+    _assert_same_chords(maze, pairs, obstacles)
+    # Obstacles bind only the chords that ask to avoid them.
+    _assert_same_chords(maze, pairs)
 
 
 def test_flat_chord_matches_dict_chord_sampled_tour64():
@@ -341,6 +396,88 @@ def test_flat_chord_matches_dict_chord_sampled_tour64():
     _assert_same_chords(maze, pairs[:N_CASES])
     # Obstacles: the chords of a few other sampled pairs.
     obstacles = [maze.chord(tour.points[a], tour.points[b]) for a, b in pairs[N_CASES:]]
-    extra = maze.blocked_by_paths([p for p in obstacles if p is not None])
-    _assert_same_chords(maze, pairs[:N_CASES], extra)
+    obstacles = [p for p in obstacles if p is not None]
+    maze.add_obstacles(obstacles)
+    _assert_same_chords(maze, pairs[:N_CASES], obstacles)
+
+
+# -- maze: component labels vs exhaustive search ---------------------------------
+def _ring_keys(maze):
+    return {key for key, bit in enumerate(maze._mask) if bit}
+
+
+def _zone_edges(maze, pa, pb):
+    """Keys of every grid edge touching a terminal-zone vertex."""
+    ny = maze.ny
+    keys = set()
+    for v in maze._terminal_zone(pa, pb):
+        ix, iy = divmod(v, ny)
+        if ix + 1 < maze.nx:
+            keys.add(2 * v)
+        if ix > 0:
+            keys.add(2 * (v - ny))
+        if iy + 1 < ny:
+            keys.add(2 * v + 1)
+        if iy > 0:
+            keys.add(2 * (v - 1) + 1)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "name, queries, sequence",
+    [
+        ("psion16", None, 0),
+        ("psion16", None, 1),
+        ("ext32", 4 * N_CASES, 0),
+        ("ext64", 4 * N_CASES, 0),
+    ],
+    ids=["tour16-every-pair-a", "tour16-every-pair-b", "ext32-sampled", "ext64-sampled"],
+)
+def test_labels_refuse_exactly_the_unreachable_chords(name, queries, sequence):
+    """Grow obstacles from seeded chords; after each, the labels must
+    refuse a chord exactly when the exhaustive dict A* finds none.
+
+    Each obstacle chord is routed around the ones before it and ends at
+    ring nodes, so later queries from those nodes open terminal zones
+    that touch obstacle edges, and chords across an obstacle become
+    unreachable.  Which zone edge decides a pair depends on the walls,
+    so the 16-node tour runs two obstacle sequences.
+    """
+    tour = _tour(name)
+    points = tour.points
+    maze = _ChordMaze(tour)
+    rng = random.Random(SEED + tour.size + sequence)
+    every_pair = [(a, b) for a in range(tour.size) for b in range(a + 1, tour.size)]
+    obstacles: list = []
+    refused = routed = zone_hits = 0
+    for _ in range(6):
+        extra = maze.blocked_by_paths(obstacles) - _ring_keys(maze)
+        pairs = every_pair if queries is None else rng.sample(every_pair, queries)
+        # Always query from the newest obstacle's terminals too.
+        if obstacles:
+            pairs = pairs + [(last_a, rng.randrange(tour.size)), (last_b, last_a)]
+        for a, b in pairs:
+            if a == b or maze._snap(points[a]) == maze._snap(points[b]):
+                continue
+            before = maze.unreachable
+            fast = maze.chord(points[a], points[b], avoid_obstacles=True)
+            slow = dict_chord(maze, points[a], points[b], extra_blocked=extra)
+            assert (maze.unreachable > before) == (slow is None), (name, a, b)
+            if slow is None:
+                assert fast is None
+                refused += 1
+            else:
+                assert fast is not None and fast.points == slow.points, (a, b)
+                routed += 1
+            zone_hits += bool(_zone_edges(maze, points[a], points[b]) & extra)
+        for _ in range(100):
+            last_a, last_b = rng.sample(range(tour.size), 2)
+            chord = maze.chord(points[last_a], points[last_b], avoid_obstacles=True)
+            if chord is not None:
+                break
+        else:
+            pytest.fail("no routable pair left to grow an obstacle from")
+        obstacles.append(chord)
+        maze.add_obstacles([chord])
+    assert refused and routed and zone_hits, (refused, routed, zone_hits)
 
